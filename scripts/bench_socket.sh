@@ -71,15 +71,17 @@ bomb() {
 }
 
 # Open-loop rate: modest enough to be sustainable in every
-# configuration even on a small single-core runner (closed-loop
-# capacity there is ~1.8k ops/s), so the percentiles measure queueing
-# behaviour rather than saturation collapse.
+# configuration even on a small runner (closed-loop capacity on a
+# 4-vCPU container is ~16k-20k ops/s), so the percentiles measure
+# queueing behaviour rather than saturation collapse.
 RATE=$((CONNECTIONS * 150))
 
-# Transport-focused mix: mostly UPDATE/QUERY round-trips with a
-# trickle of epochs, so the numbers compare framing + event-loop cost
-# rather than solver time (which grows with accumulated agents and
-# would swamp the transport signal).
+# Mostly UPDATE/QUERY round-trips with a trickle of epochs. Every
+# TICK still runs a full checked epoch under the write mutex over the
+# ~500 agents a run accumulates (allocation, SI, the O(N log N) EF
+# certificate, drift, state hash), so the numbers cover framing,
+# event loop and epoch cost together, not transport alone. Before the
+# EF certificate the pairwise EF sweep dominated them.
 MIX=3:4:1:1:7
 
 one_run() {

@@ -19,7 +19,8 @@ one record or a JSON array of them. Strategy-proofness records
 (ref_adversary, bench_strategy.sh) add ``liars``, ``rounds``,
 ``converged``, the ``gain_ratio`` family, ``utilization_loss`` (may
 be negative: lying can *raise* reported welfare), and the cohort
-margins.
+margins. Scale-trail records (bench_epoch_scale) add their
+provenance: ``nproc``, ``build_type`` and ``git_sha``.
 
 Usage:
   export_bench_timings.py <benchmark_out.json>... [--out-dir DIR]
@@ -82,6 +83,12 @@ _OPTIONAL = {
     and not isinstance(v, bool) and v >= 0,
     "liar_si_margin": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool) and v >= 0,
+    # Provenance (bench_epoch_scale): what machine and build the
+    # record came from.
+    "nproc": lambda v: isinstance(v, int)
+    and not isinstance(v, bool) and v >= 1,
+    "build_type": lambda v: isinstance(v, str),
+    "git_sha": lambda v: isinstance(v, str) and v != "",
 }
 
 

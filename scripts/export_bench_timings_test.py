@@ -37,6 +37,11 @@ GOOD_STRATEGY = {"name": "strategy/n64_k1", "wall_ns": 8,
                  "honest_ef_margin": 1.0003,
                  "liar_si_margin": 1.125}
 
+GOOD_SCALE = {"name": "epoch_tick_N1000", "wall_ns": 610000,
+              "iterations": 9, "agents": 1000, "p99_ns": 650000,
+              "nproc": 4, "build_type": "RelWithDebInfo",
+              "git_sha": "b16e40c"}
+
 
 class CheckTest(unittest.TestCase):
     def setUp(self):
@@ -49,8 +54,9 @@ class CheckTest(unittest.TestCase):
         pooled = write(self.dir.name, "BENCH_p.json", GOOD_POOLED)
         strategy = write(self.dir.name, "BENCH_s.json",
                          GOOD_STRATEGY)
-        self.assertEqual(ebt.check([path, full, pooled, strategy]),
-                         [])
+        scale = write(self.dir.name, "BENCH_e.json", GOOD_SCALE)
+        self.assertEqual(
+            ebt.check([path, full, pooled, strategy, scale]), [])
 
     def test_array_of_records_passes(self):
         path = write(self.dir.name, "BENCH_arr.json",
@@ -85,6 +91,9 @@ class CheckTest(unittest.TestCase):
             {**GOOD_STRATEGY, "liars": -1},
             {**GOOD_STRATEGY, "utilization_loss": "cheap"},
             {**GOOD_STRATEGY, "honest_si_margin": -1},
+            {**GOOD_SCALE, "nproc": 0},
+            {**GOOD_SCALE, "build_type": 2},
+            {**GOOD_SCALE, "git_sha": ""},
         ]
         for record in cases:
             path = write(self.dir.name, "BENCH_t.json", record)

@@ -9,6 +9,7 @@
 #define REF_CORE_FAIRNESS_HH
 
 #include <string>
+#include <vector>
 
 #include "core/agent.hh"
 #include "core/allocation.hh"
@@ -64,17 +65,37 @@ struct FairnessTolerance
 
 /**
  * Check SI for every agent (Eq. 3): each agent weakly prefers its
- * bundle to the equal split C/N.
+ * bundle to the equal split C/N. When @p perAgent is given it
+ * receives each agent's own slack, in allocation-row order.
  */
 PropertyCheck checkSharingIncentives(
     const AgentList &agents, const SystemCapacity &capacity,
-    const Allocation &allocation, const FairnessTolerance &tol = {});
+    const Allocation &allocation, const FairnessTolerance &tol = {},
+    std::vector<double> *perAgent = nullptr);
 
 /**
  * Check EF for every ordered pair (Section 3.2): agent i weakly
- * prefers its own bundle to agent j's.
+ * prefers its own bundle to agent j's. Exact, and the same result as
+ * checkEnvyFreenessPairwise() (worstSlack equal up to rounding near
+ * exact ties; binding always names a pair with exactly that slack),
+ * but each agent's best rival bundle is found without visiting every
+ * pair: for R = 2 it is a maximum-dot-product query over the upper
+ * convex hull of the bundles' logs, O(N log N) time and O(N) memory
+ * in all; other R use an O(N^2 R) loop over precomputed logs. When
+ * @p perAgent is given it receives each agent's tightest EF slack,
+ * min over j != i, in allocation-row order (+inf with no rival).
  */
 PropertyCheck checkEnvyFreeness(
+    const AgentList &agents, const Allocation &allocation,
+    const FairnessTolerance &tol = {},
+    std::vector<double> *perAgent = nullptr);
+
+/**
+ * Reference EF check: the plain O(N^2 R) sweep over every ordered
+ * pair. Tests and benches use it as the oracle for
+ * checkEnvyFreeness().
+ */
+PropertyCheck checkEnvyFreenessPairwise(
     const AgentList &agents, const Allocation &allocation,
     const FairnessTolerance &tol = {});
 

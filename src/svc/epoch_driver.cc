@@ -82,10 +82,10 @@ EpochDriver::pooledTick()
     if (config_.verifyIncremental)
         result.incrementalMatchesScratch = tree_->selfCheck();
 
-    // Property checks need the dense allocation and (for EF) an
-    // O(N^2) pairwise sweep, so they only run while the population is
-    // small and the tree is unweighted — exactly the regime where the
-    // flat-REF SI/EF guarantees are the ones being promised.
+    // Property checks need the dense allocation and agent list, so
+    // they only run while the population is small and the tree is
+    // unweighted — exactly the regime where the flat-REF SI/EF
+    // guarantees are the ones being promised.
     if (config_.checkProperties && !tree_->empty() &&
         tree_->size() <= kPooledPropertyCheckCap &&
         tree_->allUnitGains()) {
@@ -142,9 +142,10 @@ EpochDriver::tick()
         const core::AgentList agents = registry_->agentList();
         result.sharingIncentives = core::checkSharingIncentives(
             agents, registry_->capacity(), result.allocation,
-            config_.tolerance);
+            config_.tolerance, &result.siSlacks);
         result.envyFreeness = core::checkEnvyFreeness(
-            agents, result.allocation, config_.tolerance);
+            agents, result.allocation, config_.tolerance,
+            &result.efSlacks);
         result.propertiesChecked = true;
     }
 

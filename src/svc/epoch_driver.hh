@@ -29,10 +29,12 @@ namespace ref::svc {
 
 /**
  * Pooled ticks skip the SI/EF property checks above this population
- * (the EF check is O(N^2) pairwise — exactly the full-population cost
- * pooled mode exists to avoid) and when any pool carries a non-unit
- * weight (weighted trees intentionally favour heavy pools, so the
- * flat equal-split baselines no longer apply).
+ * (checking needs the dense allocation and a dense agent list, both
+ * O(N) allocations per TICK, plus the O(N log N) EF certificate —
+ * exactly the full-population cost pooled mode exists to avoid) and
+ * when any pool carries a non-unit weight (weighted trees
+ * intentionally favour heavy pools, so the flat equal-split
+ * baselines no longer apply).
  */
 inline constexpr std::size_t kPooledPropertyCheckCap = 1024;
 
@@ -88,6 +90,10 @@ struct EpochResult
     core::PropertyCheck sharingIncentives;
     core::PropertyCheck envyFreeness;
     bool propertiesChecked = false;
+    /** Each agent's SI and EF slack, allocation-row order, in the
+     *  checks' units (flat ticks with checks on; else empty). */
+    std::vector<double> siSlacks;
+    std::vector<double> efSlacks;
     /** Wall time spent computing this tick. */
     std::chrono::nanoseconds latency{0};
 };
