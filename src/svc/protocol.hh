@@ -275,7 +275,9 @@ class CommandSession
     struct FlushState
     {
         bool headerWritten = false;
+        bool labelled = false;  //!< The file has the label column.
         std::uint64_t rowsFlushed = 0;
+        obs::FairnessSeries::ExportCursor cursor;
     };
 
     /** Metrics exposition rewrite + fairness CSV append (after each
