@@ -298,6 +298,13 @@ TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
     FollowerClient leafFollower(leaf, leafOptions);
     leafFollower.start();
 
+    // The commands must reach the middle as shipped records, so that
+    // it re-ships them. A middle that first syncs after they ran
+    // gets them in its snapshot, and its own hub never moves.
+    ASSERT_TRUE(waitFor([&] {
+        return middleFollower.stats().snapshotsLoaded >= 1;
+    })) << "middle never synced from the primary";
+
     runCommands(primary.harness->port(),
                 {"ADMIT web 1.0 0.4", "ADMIT batch 0.2 0.7",
                  "TICK 4"});
