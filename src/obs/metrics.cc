@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace ref::obs {
@@ -129,16 +130,46 @@ labelBlock(const std::string &name)
                                          name.size() - open - 2);
 }
 
-/** `base_bucket{labels,le="N"}` — merges a histogram series' own
- *  labels with the bucket's le label. */
+/**
+ * The bucket lines of one histogram, `base_bucket{labels,le="N"} C`:
+ * a METRICS reply is mostly these, so each goes out as two writes (the
+ * series prefix, then the formatted bound and count) rather than
+ * field by field through the stream.
+ */
 void
-writeBucketSeries(std::ostream &os, std::string_view base,
-                  std::string_view labels)
+writeBuckets(std::ostream &os, std::string_view base,
+             std::string_view labels, const Histogram::Snapshot &snap)
 {
-    os << base << "_bucket{";
-    if (!labels.empty())
-        os << labels << ",";
-    os << "le=\"";
+    std::string series(base);
+    series += "_bucket{";
+    if (!labels.empty()) {
+        series += labels;
+        series += ',';
+    }
+    series += "le=\"";
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < snap.counts.size(); ++b) {
+        cumulative += snap.counts[b];
+        char tail[64];
+        char *at = tail;
+        if (b + 1 == snap.counts.size()) {
+            for (const char c : std::string_view("+Inf"))
+                *at++ = c;
+        } else {
+            at = std::to_chars(at, tail + sizeof(tail),
+                               Histogram::bucketUpperInclusive(
+                                   b, snap.counts.size()))
+                     .ptr;
+        }
+        *at++ = '"';
+        *at++ = '}';
+        *at++ = ' ';
+        at = std::to_chars(at, tail + sizeof(tail), cumulative).ptr;
+        *at++ = '\n';
+        os.write(series.data(),
+                 static_cast<std::streamsize>(series.size()));
+        os.write(tail, at - tail);
+    }
 }
 
 } // namespace
@@ -395,17 +426,7 @@ MetricsRegistry::writePrometheus(std::ostream &os) const
         case Kind::Histogram: {
             const Histogram::Snapshot snap =
                 entry.histogram->snapshot();
-            std::uint64_t cumulative = 0;
-            for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-                cumulative += snap.counts[b];
-                writeBucketSeries(os, base, labels);
-                if (b + 1 == snap.counts.size())
-                    os << "+Inf";
-                else
-                    os << Histogram::bucketUpperInclusive(
-                        b, snap.counts.size());
-                os << "\"} " << cumulative << "\n";
-            }
+            writeBuckets(os, base, labels, snap);
             os << base << "_sum";
             if (!labels.empty())
                 os << "{" << labels << "}";

@@ -233,7 +233,6 @@ PoolTree::admit(const std::string &name,
     agent.rescaled = normalizeToUnitSum(elasticities);
     agent.effective = effectiveFor(agent.rescaled, pool);
     agent.admittedEpoch = epoch;
-    agent.seq = nextSeq_++;
     agent.pool = pool;
 
     auto &shard = shardFor(name);
@@ -247,7 +246,13 @@ PoolTree::admit(const std::string &name,
         node = nodes_[node].parent;
     }
     ++nodes_[pool].directAgents;
-    shard.agents.emplace(name, std::move(agent));
+    PooledAgent &entry =
+        shard.agents.emplace(name, std::move(agent)).first->second;
+    digest_.append(tail_ != nullptr ? &tail_->name : nullptr,
+                   entry.name, termOf(entry));
+    entry.prev = tail_;
+    (tail_ != nullptr ? tail_->next : head_) = &entry;
+    tail_ = &entry;
     ++agentCount_;
     ++churnEvents_;
 }
@@ -267,9 +272,11 @@ PoolTree::update(const std::string &name,
     }
     applyAlongPath(agent.pool, agent.effective, -1);
     applyAlongPath(agent.pool, effective, +1);
+    const std::uint64_t oldTerm = termOf(agent);
     agent.elasticities = elasticities;
     agent.rescaled = rescaled;
     agent.effective = effective;
+    digest_.replace(oldTerm, termOf(agent));
     ++churnEvents_;
 }
 
@@ -303,8 +310,10 @@ PoolTree::assign(const std::string &name, const std::string &poolPath)
     }
     --nodes_[agent.pool].directAgents;
     ++nodes_[pool].directAgents;
+    const std::uint64_t oldTerm = termOf(agent);
     agent.pool = pool;
     agent.effective = effective;
+    digest_.replace(oldTerm, termOf(agent));
     ++churnEvents_;
 }
 
@@ -323,6 +332,12 @@ PoolTree::depart(const std::string &name)
         node = nodes_[node].parent;
     }
     --nodes_[agent.pool].directAgents;
+    digest_.remove(agent.prev != nullptr ? &agent.prev->name : nullptr,
+                   agent.name,
+                   agent.next != nullptr ? &agent.next->name : nullptr,
+                   termOf(agent));
+    (agent.prev != nullptr ? agent.prev->next : head_) = agent.next;
+    (agent.next != nullptr ? agent.next->prev : tail_) = agent.prev;
     shard.agents.erase(name);
     --agentCount_;
     ++churnEvents_;
@@ -400,14 +415,16 @@ PoolTree::denseOrder() const
 {
     std::vector<const PooledAgent *> order;
     order.reserve(agentCount_);
-    for (const auto &shard : shards_)
-        for (const auto &entry : shard.agents)
-            order.push_back(&entry.second);
-    std::sort(order.begin(), order.end(),
-              [](const PooledAgent *a, const PooledAgent *b) {
-                  return a->seq < b->seq;
-              });
+    forEachAgent(
+        [&order](const PooledAgent &agent) { order.push_back(&agent); });
     return order;
+}
+
+std::uint64_t
+PoolTree::termOf(const PooledAgent &agent) const
+{
+    return agentDigestTerm(agent.name, agent.elasticities,
+                           agent.admittedEpoch, nodes_[agent.pool].path);
 }
 
 core::Allocation

@@ -45,6 +45,7 @@
 #include "core/agent.hh"
 #include "core/allocation.hh"
 #include "core/resource.hh"
+#include "util/digest.hh"
 #include "util/exact_sum.hh"
 
 namespace ref::pool {
@@ -69,10 +70,12 @@ struct PooledAgent
     /** gain(pool) * rescaled — the values the ExactSums hold. */
     linalg::Vector effective;
     std::uint64_t admittedEpoch = 0;
-    /** Global admission sequence number (dense-allocation order). */
-    std::uint64_t seq = 0;
     /** Node id of the owning pool. */
     std::uint32_t pool = 0;
+    /** Intrusive admission-order list (dense-allocation order);
+     *  shard map nodes never move, so the links stay valid. */
+    PooledAgent *prev = nullptr;
+    PooledAgent *next = nullptr;
 };
 
 /** Read-only view of one pool for snapshots, metrics and QUERY. */
@@ -102,6 +105,10 @@ class PoolTree
     /** @pre shards >= 1. */
     explicit PoolTree(core::SystemCapacity capacity,
                       std::size_t shards = 8);
+
+    /** The admission list links into the shard maps' nodes. */
+    PoolTree(const PoolTree &) = delete;
+    PoolTree &operator=(const PoolTree &) = delete;
 
     /**
      * Create a pool at @p path ("a" or "a/b"; the parent must already
@@ -182,18 +189,18 @@ class PoolTree
     /** All pools in creation order (root first). */
     std::vector<PoolView> pools() const;
 
-    /** Visit every live agent (shard order — unspecified). */
+    /** Visit every live agent in admission order. O(N). */
     template <typename Fn>
     void forEachAgent(Fn &&fn) const
     {
-        for (const auto &shard : shards_)
-            for (const auto &entry : shard.agents)
-                fn(entry.second);
+        for (const PooledAgent *agent = head_; agent != nullptr;
+             agent = agent->next)
+            fn(*agent);
     }
 
     /**
      * Dense N x R allocation over all live agents in admission
-     * order, with the matching names. O(N log N) — verification and
+     * order, with the matching names. O(N) — verification and
      * small-population use only. @pre !empty().
      */
     core::Allocation allocateDense(
@@ -231,6 +238,13 @@ class PoolTree
         churnEvents_ = events;
     }
 
+    /**
+     * Agent part of the service state digest (util/digest.hh): the
+     * live records, pool paths included, and their admission order,
+     * kept current by every mutation in O(1) digest work.
+     */
+    std::uint64_t digest() const { return digest_.value(); }
+
   private:
     struct Node
     {
@@ -267,8 +281,10 @@ class PoolTree
                         const linalg::Vector &effective, int direction);
     linalg::Vector effectiveFor(const linalg::Vector &rescaled,
                                 std::uint32_t pool) const;
-    /** Live agents sorted by admission sequence. */
+    /** Live agents in admission order (the list, walked). */
     std::vector<const PooledAgent *> denseOrder() const;
+    /** Digest term of @p agent's current record. */
+    std::uint64_t termOf(const PooledAgent &agent) const;
     core::Allocation allocateWith(
         const std::vector<const PooledAgent *> &order,
         const std::vector<double> &denominators,
@@ -280,8 +296,11 @@ class PoolTree
     std::vector<Shard> shards_;
     std::size_t agentCount_ = 0;
     std::size_t maxDepth_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t churnEvents_ = 0;
+    /** Ends of the admission-order list. */
+    PooledAgent *head_ = nullptr;
+    PooledAgent *tail_ = nullptr;
+    AgentDigest digest_;
 };
 
 } // namespace ref::pool

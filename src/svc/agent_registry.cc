@@ -8,6 +8,17 @@
 #include "util/math.hh"
 
 namespace ref::svc {
+namespace {
+
+/** Flat agents persist with an empty pool path. */
+std::uint64_t
+termOf(const RegisteredAgent &agent)
+{
+    return agentDigestTerm(agent.name, agent.elasticities,
+                           agent.admittedEpoch, std::string_view());
+}
+
+} // namespace
 
 AgentRegistry::AgentRegistry(core::SystemCapacity capacity)
     : capacity_(std::move(capacity)), denominators_(capacity_.count())
@@ -54,6 +65,8 @@ AgentRegistry::admit(const std::string &name,
     agent.admittedEpoch = epoch;
     for (std::size_t r = 0; r < capacity_.count(); ++r)
         denominators_[r].add(agent.rescaled[r]);
+    digest_.append(agents_.empty() ? nullptr : &agents_.back().name,
+                   agent.name, termOf(agent));
 
     index_.emplace(name, agents_.size());
     agents_.push_back(std::move(agent));
@@ -67,6 +80,12 @@ AgentRegistry::depart(const std::string &name)
     const RegisteredAgent &agent = agents_[position];
     for (std::size_t r = 0; r < capacity_.count(); ++r)
         denominators_[r].subtract(agent.rescaled[r]);
+    digest_.remove(
+        position > 0 ? &agents_[position - 1].name : nullptr,
+        agent.name,
+        position + 1 < agents_.size() ? &agents_[position + 1].name
+                                      : nullptr,
+        termOf(agent));
 
     agents_.erase(agents_.begin() + position);
     index_.erase(name);
@@ -88,8 +107,10 @@ AgentRegistry::update(const std::string &name,
         denominators_[r].subtract(agent.rescaled[r]);
         denominators_[r].add(rescaled[r]);
     }
+    const std::uint64_t oldTerm = termOf(agent);
     agent.elasticities = elasticities;
     agent.rescaled = rescaled;
+    digest_.replace(oldTerm, termOf(agent));
     ++churnEvents_;
 }
 

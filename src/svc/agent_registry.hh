@@ -24,6 +24,7 @@
 #include "core/agent.hh"
 #include "core/allocation.hh"
 #include "core/resource.hh"
+#include "util/digest.hh"
 #include "util/exact_sum.hh"
 
 namespace ref::svc {
@@ -111,6 +112,13 @@ class AgentRegistry
     std::uint64_t churnEvents() const { return churnEvents_; }
 
     /**
+     * Agent part of the service state digest (util/digest.hh): the
+     * live records and their admission order, kept current by every
+     * mutation in O(1) digest work.
+     */
+    std::uint64_t digest() const { return digest_.value(); }
+
+    /**
      * Recovery only: restore the lifetime churn counter after a
      * snapshot re-admitted the surviving agents (each re-admission
      * bumped it once, which would otherwise undercount the departed
@@ -131,6 +139,7 @@ class AgentRegistry
     /** Per-resource exact sums of the re-scaled elasticities. */
     std::vector<ExactSum> denominators_;
     std::uint64_t churnEvents_ = 0;
+    AgentDigest digest_;
 };
 
 } // namespace ref::svc

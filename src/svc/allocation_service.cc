@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "obs/trace.hh"
-#include "util/crc32.hh"
 #include "util/logging.hh"
 
 namespace ref::svc {
@@ -110,8 +109,13 @@ AllocationService::tick()
     std::lock_guard<std::mutex> lock(writeMutex_);
     const auto previous = snapshot();
     EpochResult result = driver_.tick();
-    metrics_.recordEpoch(result);
     publishEpochLocked(result);
+    // The incremental state digest is part of what --selfcheck
+    // verifies: it must equal the from-scratch one every epoch.
+    if (config_.epoch.verifyIncremental &&
+        stateDigestLocked() != digestOf(captureStateLocked()))
+        result.incrementalMatchesScratch = false;
+    metrics_.recordEpoch(result);
     recordFairnessLocked(*previous, result);
     JournalRecord record;
     record.type = JournalRecord::Type::Tick;
@@ -555,14 +559,45 @@ AllocationService::applyShipped(const JournalRecord &record)
     journalAppendLocked(record);
 }
 
+std::uint64_t
+AllocationService::stateDigestLocked() const
+{
+    // The agents' part is kept current by every mutation; the rest
+    // is O(pools) in pooled mode and O(N) published/enforced rows in
+    // flat mode, read in place. Generations are process-local
+    // lineage counters, so they stay out (primary and follower
+    // legitimately differ there).
+    const linalg::Vector capacities = config_.capacity.capacities();
+    std::vector<PersistedPool> pools;
+    if (tree_) {
+        for (const pool::PoolView &view : tree_->pools())
+            pools.push_back(PersistedPool{view.path, view.weight,
+                                          view.createdEpoch});
+    }
+    const auto published = snapshot();
+    return stateDigest(
+        tree_ ? tree_->digest() : registry_.digest(),
+        StateRemainder{capacities,
+                       tree_ ? tree_->size() : registry_.size(),
+                       tree_ ? tree_->churnEvents()
+                             : registry_.churnEvents(),
+                       driver_.epoch(), driver_.lastEnforcedEpoch(),
+                       driver_.enforcedNames(), driver_.enforced(),
+                       published->epoch, published->agents,
+                       published->allocation,
+                       published->propertiesChecked,
+                       published->sharingIncentives,
+                       published->envyFreeness, tree_ != nullptr,
+                       pools});
+}
+
 std::uint32_t
 AllocationService::stateHashLocked() const
 {
-    ServiceState state = captureStateLocked();
-    // Generations are process-local lineage counters; the primary
-    // and a bit-identical follower legitimately differ there.
-    state.generation = 0;
-    return crc32(encodeServiceState(state));
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint32_t hash = foldDigest(stateDigestLocked());
+    metrics_.recordStateHash(std::chrono::steady_clock::now() - start);
+    return hash;
 }
 
 std::uint32_t
@@ -632,29 +667,14 @@ AllocationService::captureStateLocked() const
         for (const pool::PoolView &view : tree_->pools())
             state.pools.push_back(PersistedPool{
                 view.path, view.weight, view.createdEpoch});
-        // Persist agents in admission (seq) order so re-admission
+        // Persist agents in admission order so re-admission
         // reproduces the dense-allocation order bit for bit.
-        struct Ordered
-        {
-            std::uint64_t seq;
-            PersistedAgent agent;
-        };
-        std::vector<Ordered> ordered;
-        ordered.reserve(tree_->size());
+        state.agents.reserve(tree_->size());
         tree_->forEachAgent([&](const pool::PooledAgent &agent) {
-            ordered.push_back(Ordered{
-                agent.seq,
-                PersistedAgent{agent.name, agent.elasticities,
-                               agent.admittedEpoch,
-                               tree_->poolPath(agent.pool)}});
+            state.agents.push_back(PersistedAgent{
+                agent.name, agent.elasticities, agent.admittedEpoch,
+                tree_->poolPath(agent.pool)});
         });
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const Ordered &a, const Ordered &b) {
-                      return a.seq < b.seq;
-                  });
-        state.agents.reserve(ordered.size());
-        for (Ordered &entry : ordered)
-            state.agents.push_back(std::move(entry.agent));
         state.churnEvents = tree_->churnEvents();
     } else {
         state.agents.reserve(registry_.size());

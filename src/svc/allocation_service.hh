@@ -230,9 +230,11 @@ class AllocationService
     void adoptState(const ServiceState &state);
 
     /**
-     * CRC32 of the full encoded service state with the generation
-     * zeroed: generations are process-local (a follower runs its
-     * own), everything else must match the primary bit for bit.
+     * Digest of the full service state except the generation
+     * (svc/snapshot.hh stateDigest), folded to 32 bits: generations
+     * are process-local (a follower runs its own), everything else
+     * must match the primary bit for bit. The agents' part is kept
+     * incrementally, so this costs O(pools) in pooled mode.
      */
     std::uint32_t stateHash() const;
 
@@ -265,7 +267,10 @@ class AllocationService
     void restoreStateLocked(const ServiceState &state);
     /** Drop all live state: fresh registry/tree/driver/snapshot. */
     void resetRuntimeLocked();
-    /** CRC32 of the encoded state, generation zeroed. */
+    /** The incrementally kept state digest (generation excluded);
+     *  digestOf(captureStateLocked()) is its from-scratch oracle. */
+    std::uint64_t stateDigestLocked() const;
+    /** stateHash() under the lock, timed into the metrics. */
     std::uint32_t stateHashLocked() const;
     /** Apply one replayed wal record through the normal paths. */
     void applyRecordLocked(const JournalRecord &record);

@@ -30,7 +30,8 @@ namespace ref::svc {
 /**
  * Pooled ticks skip the SI/EF property checks above this population
  * (checking needs the dense allocation and a dense agent list, both
- * O(N) allocations per TICK, plus the O(N log N) EF certificate —
+ * O(N) allocations per TICK, as is denseOrder()'s walk of the
+ * admission list, plus the O(N log N) EF certificate:
  * exactly the full-population cost pooled mode exists to avoid) and
  * when any pool carries a non-unit weight (weighted trees
  * intentionally favour heavy pools, so the flat equal-split

@@ -535,7 +535,7 @@ CommandSession::executeCommand(const Command &command,
             break;
         case Command::Op::Stats:
             printMetrics(out, service.metrics());
-            // Generation-independent CRC32 of the full service
+            // Generation-independent digest of the full service
             // state: the fingerprint the replication divergence
             // check compares, exposed so an operator (or the
             // failover soak) can assert two servers are bit-equal

@@ -35,9 +35,9 @@ class ReplicationSink
     /**
      * One accepted record, already encoded as a journal-record
      * payload (encodeJournalRecord). @p isTick marks epoch ticks;
-     * for those @p stateHash is the CRC32 of the service's full
-     * post-tick state (generation zeroed), the follower's
-     * divergence check. Called under the service write mutex.
+     * for those @p stateHash is the digest of the service's full
+     * post-tick state (generation excluded; AllocationService::
+     * stateHash), the follower's divergence check. Called under the service write mutex.
      */
     virtual void onRecord(const std::string &payload, bool isTick,
                           std::uint64_t epoch,

@@ -52,6 +52,12 @@ ServiceMetrics::ServiceMetrics()
           "ref_epoch_latency_ns",
           "Epoch compute latency in nanoseconds (log-2 buckets)",
           48)),
+      stateHashNs_(registry_.histogram(
+          "ref_svc_state_hash_ns",
+          "State hash latency in nanoseconds, per replicated TICK "
+          "and STATS (log-2 buckets; the last finite one ends "
+          "near 2 s)",
+          32)),
       journalEnabled_(registry_.gauge(
           "ref_journal_enabled", "1 when a write-ahead log is on")),
       journalRecords_(registry_.gauge(
@@ -139,6 +145,13 @@ ServiceMetrics::recordEpoch(const EpochResult &result)
 
     latencyUs_.observe(nanoseconds / 1000);
     latencyNs_.observe(nanoseconds);
+}
+
+void
+ServiceMetrics::recordStateHash(std::chrono::nanoseconds elapsed)
+{
+    stateHashNs_.observe(static_cast<std::uint64_t>(
+        std::max<std::chrono::nanoseconds::rep>(elapsed.count(), 0)));
 }
 
 void

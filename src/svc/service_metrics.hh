@@ -99,6 +99,8 @@ class ServiceMetrics
     void recordPoolCreate() { poolCreates_.add(); }
     void recordPoolAssign() { poolAssigns_.add(); }
     void recordEpoch(const EpochResult &result);
+    /** Time spent computing one state hash (replication, STATS). */
+    void recordStateHash(std::chrono::nanoseconds elapsed);
 
     /** Labelled series beyond this many pools are not exported
      *  (counts and the first pools still are). */
@@ -149,6 +151,7 @@ class ServiceMetrics
     obs::Gauge &pools_;
     obs::Histogram &latencyUs_;  //!< Legacy 16-bucket STATS shape.
     obs::Histogram &latencyNs_;  //!< ns min/max/sum source of truth.
+    obs::Histogram &stateHashNs_;
 
     obs::Gauge &journalEnabled_;
     obs::Gauge &journalRecords_;

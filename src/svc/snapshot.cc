@@ -5,6 +5,7 @@
 
 #include "obs/trace.hh"
 #include "svc/journal.hh"
+#include "util/digest.hh"
 #include "util/logging.hh"
 #include "util/record_io.hh"
 
@@ -75,6 +76,35 @@ getCheck(ByteReader &reader)
     return check;
 }
 
+/** Seed of the remainder stream (distinct from the agent terms'). */
+constexpr std::uint64_t kStateSeed = 0x7374617465ull;  // "state"
+
+void
+digestStrings(Digest64 &digest, const std::vector<std::string> &values)
+{
+    digest.u64(values.size());
+    for (const auto &value : values)
+        digest.str(value);
+}
+
+void
+digestAllocation(Digest64 &digest, const core::Allocation &allocation)
+{
+    digest.u64(allocation.agents());
+    digest.u64(allocation.resources());
+    for (std::size_t i = 0; i < allocation.agents(); ++i)
+        for (std::size_t r = 0; r < allocation.resources(); ++r)
+            digest.f64(allocation.at(i, r));
+}
+
+void
+digestCheck(Digest64 &digest, const core::PropertyCheck &check)
+{
+    digest.u64(check.satisfied ? 1 : 0);
+    digest.f64(check.worstSlack);
+    digest.str(check.binding);
+}
+
 } // namespace
 
 std::string
@@ -122,6 +152,56 @@ encodeServiceState(const ServiceState &state)
         agentPools.push_back(agent.pool);
     putStrings(writer, agentPools);
     return writer.take();
+}
+
+std::uint64_t
+stateDigest(std::uint64_t agentDigest, const StateRemainder &rest)
+{
+    Digest64 digest(kStateSeed);
+    digest.u64(agentDigest);
+    digest.doubles(rest.capacities);
+    digest.u64(rest.agentCount);
+    digest.u64(rest.churnEvents);
+    digest.u64(rest.epoch);
+    digest.u64(rest.lastEnforcedEpoch);
+    digestStrings(digest, rest.enforcedNames);
+    digestAllocation(digest, rest.enforced);
+    digest.u64(rest.publishedEpoch);
+    digestStrings(digest, rest.publishedAgents);
+    digestAllocation(digest, rest.publishedAllocation);
+    digest.u64(rest.propertiesChecked ? 1 : 0);
+    digestCheck(digest, rest.sharingIncentives);
+    digestCheck(digest, rest.envyFreeness);
+    digest.u64(rest.pooled ? 1 : 0);
+    digest.u64(rest.pools.size());
+    for (const auto &pool : rest.pools) {
+        digest.str(pool.path);
+        digest.f64(pool.weight);
+        digest.u64(pool.createdEpoch);
+    }
+    return digest.value();
+}
+
+std::uint64_t
+digestOf(const ServiceState &state)
+{
+    AgentDigest agents;
+    const std::string *tail = nullptr;
+    for (const auto &agent : state.agents) {
+        agents.append(tail, agent.name,
+                      agentDigestTerm(agent.name, agent.elasticities,
+                                      agent.admittedEpoch, agent.pool));
+        tail = &agent.name;
+    }
+    return stateDigest(
+        agents.value(),
+        StateRemainder{state.capacities, state.agents.size(),
+                       state.churnEvents, state.epoch,
+                       state.lastEnforcedEpoch, state.enforcedNames,
+                       state.enforced, state.publishedEpoch,
+                       state.publishedAgents, state.publishedAllocation,
+                       state.propertiesChecked, state.sharingIncentives,
+                       state.envyFreeness, state.pooled, state.pools});
 }
 
 ServiceState

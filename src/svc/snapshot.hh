@@ -90,6 +90,52 @@ struct ServiceState
 /** Serialize to a frame payload (no framing/magic). */
 std::string encodeServiceState(const ServiceState &state);
 
+/**
+ * Every ServiceState field except the agent records and the
+ * generation, borrowed from wherever it lives, so a running service
+ * can digest its state in place instead of capturing a copy.
+ */
+struct StateRemainder
+{
+    const std::vector<double> &capacities;
+    std::uint64_t agentCount;
+    std::uint64_t churnEvents;
+    std::uint64_t epoch;
+    std::uint64_t lastEnforcedEpoch;
+    const std::vector<std::string> &enforcedNames;
+    const core::Allocation &enforced;
+    std::uint64_t publishedEpoch;
+    const std::vector<std::string> &publishedAgents;
+    const core::Allocation &publishedAllocation;
+    bool propertiesChecked;
+    const core::PropertyCheck &sharingIncentives;
+    const core::PropertyCheck &envyFreeness;
+    bool pooled;
+    const std::vector<PersistedPool> &pools;
+};
+
+/**
+ * The state digest from its two parts: @p agentDigest, the agent
+ * records and their admission order (util/digest.hh AgentDigest),
+ * and a hash of @p rest streamed in place. Covers every field
+ * encodeServiceState() writes except the generation.
+ */
+std::uint64_t stateDigest(std::uint64_t agentDigest,
+                          const StateRemainder &rest);
+
+/**
+ * From-scratch state digest: the oracle the incrementally kept one
+ * must equal, bit for bit.
+ */
+std::uint64_t digestOf(const ServiceState &state);
+
+/** The digest folded to the u32 that STATS and the repl wire carry. */
+inline std::uint32_t
+foldDigest(std::uint64_t digest)
+{
+    return static_cast<std::uint32_t>(digest ^ (digest >> 32));
+}
+
 /** Parse a frame payload; throws FatalError on malformed bytes. */
 ServiceState decodeServiceState(std::string_view payload);
 

@@ -249,6 +249,30 @@ TEST(MetricsRegistry, LabeledSeriesShareOneHeader)
     EXPECT_EQ(text.find(type, firstType + 1), std::string::npos);
 }
 
+TEST(MetricsRegistry, LabeledHistogramBucketsCarryTheSeriesLabels)
+{
+    MetricsRegistry registry;
+    Histogram &histogram = registry.histogram(
+        "ref_h_ns{shard=\"1\"}", "sharded latency", 4);
+    histogram.observe(2);
+    histogram.observe(100);
+
+    std::ostringstream out;
+    registry.writePrometheus(out);
+    EXPECT_EQ(out.str(),
+              "# HELP ref_h_ns sharded latency\n"
+              "# TYPE ref_h_ns histogram\n"
+              "ref_h_ns_bucket{shard=\"1\",le=\"0\"} 0\n"
+              "ref_h_ns_bucket{shard=\"1\",le=\"1\"} 0\n"
+              "ref_h_ns_bucket{shard=\"1\",le=\"3\"} 1\n"
+              "ref_h_ns_bucket{shard=\"1\",le=\"+Inf\"} 2\n"
+              "ref_h_ns_sum{shard=\"1\"} 102\n"
+              "ref_h_ns_count{shard=\"1\"} 2\n"
+              "ref_h_ns_p50{shard=\"1\"} 3\n"
+              "ref_h_ns_p90{shard=\"1\"} 100\n"
+              "ref_h_ns_p99{shard=\"1\"} 100\n");
+}
+
 TEST(MetricsRegistry, RejectsMalformedLabelBlocks)
 {
     MetricsRegistry registry;

@@ -211,6 +211,90 @@ TEST(PoolTree, DenseOrderIsAdmissionOrderAcrossReadmission)
     EXPECT_EQ(names, (std::vector<std::string>{"c", "a", "b"}));
 }
 
+/** Names in dense-allocation order, checked against the other two
+ *  admission-order views (agentList, forEachAgent). */
+std::vector<std::string>
+admissionOrder(const PoolTree &tree)
+{
+    std::vector<std::string> names;
+    tree.allocateDense(&names);
+    std::vector<std::string> listed;
+    for (const auto &agent : tree.agentList())
+        listed.push_back(agent.name());
+    EXPECT_EQ(listed, names);
+    std::vector<std::string> visited;
+    tree.forEachAgent([&visited](const pool::PooledAgent &agent) {
+        visited.push_back(agent.name);
+    });
+    EXPECT_EQ(visited, names);
+    return names;
+}
+
+/** The same agents admitted afresh in @p order, for the digest. */
+std::uint64_t
+freshDigest(const PoolTree &tree,
+            const std::vector<std::string> &order)
+{
+    PoolTree fresh(capacity());
+    fresh.createPool("p", 1.0);
+    for (const std::string &name : order)
+        fresh.admit(name, {0.5, 0.5}, tree.poolOf(name));
+    return fresh.digest();
+}
+
+TEST(PoolTree, AdmissionOrderSurvivesDepartsAtHeadMiddleAndTail)
+{
+    PoolTree tree(capacity(), 4);
+    tree.createPool("p", 1.0);
+    for (const char *name : {"a", "b", "c", "d", "e"})
+        tree.admit(name, {0.5, 0.5}, name[0] % 2 ? "p" : "/");
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(admissionOrder(tree), (Names{"a", "b", "c", "d", "e"}));
+
+    tree.depart("a");  // Head.
+    EXPECT_EQ(admissionOrder(tree), (Names{"b", "c", "d", "e"}));
+    EXPECT_EQ(tree.digest(), freshDigest(tree, {"b", "c", "d", "e"}));
+    tree.depart("c");  // Middle.
+    EXPECT_EQ(admissionOrder(tree), (Names{"b", "d", "e"}));
+    EXPECT_EQ(tree.digest(), freshDigest(tree, {"b", "d", "e"}));
+    tree.depart("e");  // Tail.
+    EXPECT_EQ(admissionOrder(tree), (Names{"b", "d"}));
+    EXPECT_EQ(tree.digest(), freshDigest(tree, {"b", "d"}));
+    tree.admit("f", {0.5, 0.5});  // The new tail links after d.
+    EXPECT_EQ(admissionOrder(tree), (Names{"b", "d", "f"}));
+
+    tree.depart("b");
+    tree.depart("d");
+    tree.depart("f");
+    EXPECT_TRUE(tree.empty());
+    EXPECT_EQ(tree.digest(), freshDigest(tree, {}));
+    tree.admit("g", {0.5, 0.5});  // Empty list: g is head and tail.
+    EXPECT_EQ(admissionOrder(tree), (Names{"g"}));
+    ASSERT_TRUE(tree.selfCheck());
+}
+
+TEST(PoolTree, ReadmittedNameJoinsTheTail)
+{
+    PoolTree tree(capacity(), 2);
+    for (const char *name : {"a", "b", "c"})
+        tree.admit(name, {0.5, 0.5});
+    const std::uint64_t before = tree.digest();
+    for (const char *name : {"a", "b", "c"}) {
+        tree.depart(name);
+        tree.admit(name, {0.5, 0.5});
+    }
+    // Each name went to the tail in turn: the original order again,
+    // and the digest, a function of the live list only, agrees.
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(admissionOrder(tree), (Names{"a", "b", "c"}));
+    EXPECT_EQ(tree.digest(), before);
+
+    tree.depart("a");
+    tree.admit("a", {0.5, 0.5});
+    EXPECT_EQ(admissionOrder(tree), (Names{"b", "c", "a"}));
+    EXPECT_NE(tree.digest(), before);
+}
+
 TEST(PoolTree, WeightedPoolsScaleSharesByGain)
 {
     PoolTree tree(capacity());
