@@ -113,6 +113,7 @@ ShardedServer::run()
         total.badFrames += shard.badFrames;
         total.binaryConnections += shard.binaryConnections;
         total.replicas += shard.replicas;
+        total.wakeWrites += shard.wakeWrites;
         total.protocol.commands += shard.protocol.commands;
         total.protocol.errors += shard.protocol.errors;
         total.protocol.epochFailures += shard.protocol.epochFailures;

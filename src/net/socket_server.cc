@@ -75,6 +75,7 @@ struct SocketServer::Metrics
     obs::Counter &frames;
     obs::Counter &badFrames;
     obs::Counter &binaryConnections;
+    obs::Counter &wakeWrites;
     obs::Gauge &active;
 
     static std::string series(const char *base,
@@ -127,6 +128,10 @@ struct SocketServer::Metrics
           binaryConnections(obs::MetricsRegistry::global().counter(
               series("ref_net_binary_connections_total", label),
               "Connections that negotiated the binary protocol")),
+          wakeWrites(obs::MetricsRegistry::global().counter(
+              series("ref_net_wake_writes_total", label),
+              "Self-pipe writes waking the event loop (stop "
+              "requests and records appended off the loop)")),
           active(obs::MetricsRegistry::global().gauge(
               series("ref_net_active_connections", label),
               "Currently connected socket clients"))
@@ -166,7 +171,105 @@ injectNetIo(const char *site)
     return {true, hit->errnoValue, false};
 }
 
+/** The Wake of the event loop running on this thread, if any. Only
+ *  ever compared, never dereferenced. */
+thread_local const void *tlsRunningLoop = nullptr;
+
+/**
+ * Lends a string to the server's reused reply stream for one
+ * command: the stream writes straight onto the string's end (the
+ * stream is opened with ios::ate) and the destructor moves the
+ * grown string back, so the bytes are never copied. Every command
+ * starts from a fresh stream's state: an error mid-reply cannot
+ * leave the stream failed, nor a manipulator (std::fixed, std::hex,
+ * setw, setfill) carry over to the next command's reply.
+ */
+class ReplyWriter
+{
+  public:
+    ReplyWriter(std::ostringstream &stream, std::string &target)
+        : stream_(stream), target_(target)
+    {
+        stream_.clear();
+        stream_.flags(std::ios::dec | std::ios::skipws);
+        stream_.precision(6);
+        stream_.width(0);
+        stream_.fill(' ');
+        stream_.str(std::move(target_));
+    }
+    ~ReplyWriter() { target_ = std::move(stream_).str(); }
+    ReplyWriter(const ReplyWriter &) = delete;
+    ReplyWriter &operator=(const ReplyWriter &) = delete;
+
+    std::ostream &out() { return stream_; }
+
+  private:
+    std::ostringstream &stream_;
+    std::string &target_;
+};
+
 } // namespace
+
+/**
+ * The loop's self-pipe, with coalesced writes. wake() writes a byte
+ * only when it flips `armed` from false to true; the loop empties
+ * the pipe and *then* clears `armed`, and pumps replicas later in
+ * the same pass. A wake that lands after the clear writes a fresh
+ * byte, which stays in the pipe and returns the next poll. One that
+ * lands before the clear writes nothing, but the clear reads its
+ * flag, so whatever preceded it (a record, a stop request) is seen
+ * by the rest of this pass. At most one write per loop pass, and no
+ * wake is lost. (Clearing before the drain would lose one: a wake
+ * between the clear and the read would leave `armed` set with its
+ * byte consumed, and no wake would write again.) The replication
+ * hub's callback holds a reference (the hub may outlive the
+ * server), so the pipe closes only when its last user lets go.
+ */
+struct SocketServer::Wake
+{
+    int fds[2] = {-1, -1};
+    std::atomic<bool> armed{false};
+    std::atomic<std::uint64_t> writes{0};
+    obs::Counter &writesCounter;
+
+    explicit Wake(obs::Counter &counter) : writesCounter(counter)
+    {
+        REF_REQUIRE(::pipe(fds) == 0,
+                    "pipe: " << std::strerror(errno));
+        setNonBlocking(fds[0]);
+        setNonBlocking(fds[1]);
+    }
+
+    ~Wake()
+    {
+        for (const int fd : fds)
+            ::close(fd);
+    }
+
+    /** Any thread: make the loop's next (or current) poll return. */
+    void wake()
+    {
+        // The loop's clearing exchange reads this write, so whatever
+        // preceded the wake (a stop request, an appended record) is
+        // visible to the loop pass it triggers.
+        if (armed.exchange(true))
+            return;
+        const char byte = 1;
+        const ssize_t ignored [[maybe_unused]] =
+            ::write(fds[1], &byte, 1);
+        ++writes;
+        writesCounter.add();
+    }
+
+    /** Loop side: empty the pipe, then re-arm. */
+    void drain()
+    {
+        char bytes[64];
+        while (::read(fds[0], bytes, sizeof(bytes)) > 0)
+            ;
+        armed.exchange(false);
+    }
+};
 
 /** One client connection: fd + framing buffers + protocol session. */
 struct SocketServer::Connection
@@ -229,9 +332,6 @@ SocketServer::~SocketServer()
         ::close(tcpListenFd_);
     if (unixListenFd_ >= 0)
         ::close(unixListenFd_);
-    for (const int fd : wakeFds_)
-        if (fd >= 0)
-            ::close(fd);
     if (!boundUnixPath_.empty())
         ::unlink(boundUnixPath_.c_str());
 }
@@ -324,26 +424,20 @@ SocketServer::start()
         boundUnixPath_ = options_.unixPath;
     }
 
-    // Self-pipe: requestStop() from another thread writes one byte
-    // so an idle poll wakes immediately instead of at its timeout.
-    if (wakeFds_[0] < 0) {
-        REF_REQUIRE(::pipe(wakeFds_) == 0,
-                    "pipe: " << std::strerror(errno));
-        setNonBlocking(wakeFds_[0]);
-        setNonBlocking(wakeFds_[1]);
-    }
+    // Self-pipe: requestStop() from another thread wakes an idle
+    // poll immediately instead of at its timeout.
+    if (!wake_)
+        wake_ = std::make_shared<Wake>(metrics_->wakeWrites);
 
-    // Records appended off-loop (the stdio transport, another
+    // Records appended off-loop (a follower's replay, another
     // shard) must reach replicas promptly: the hub pokes the
     // self-pipe so a poll-blocked loop pumps without waiting for
-    // its timeout. The hub outlives the server (ServerOptions
-    // contract), but the write fd is process-long-lived anyway.
+    // its timeout. Records this loop appends itself need no wake —
+    // run() pumps replicas at the end of every pass.
     if (options_.replicationHub != nullptr) {
-        const int wakeFd = wakeFds_[1];
-        options_.replicationHub->addWakeCallback([wakeFd] {
-            const char byte = 1;
-            const ssize_t ignored [[maybe_unused]] =
-                ::write(wakeFd, &byte, 1);
+        options_.replicationHub->addWakeCallback([wake = wake_] {
+            if (tlsRunningLoop != wake.get())
+                wake->wake();
         });
     }
 }
@@ -352,12 +446,8 @@ void
 SocketServer::requestStop()
 {
     stopRequested_.store(true, std::memory_order_relaxed);
-    if (wakeFds_[1] >= 0) {
-        const char byte = 1;
-        // A full pipe means a wakeup is already pending.
-        const ssize_t ignored [[maybe_unused]] =
-            ::write(wakeFds_[1], &byte, 1);
-    }
+    if (wake_)
+        wake_->wake();
 }
 
 bool
@@ -439,22 +529,23 @@ SocketServer::rejectOverlong(Connection &conn)
     service_.noteRejected();
     ++conn.session->result().commands;
     ++conn.session->result().errors;
-    std::ostringstream reply;
-    reply << "ERR line exceeds " << options_.maxLineBytes
-          << " byte bound\n";
-    conn.outbuf += reply.str();
+    ReplyWriter reply(reply_, conn.outbuf);
+    reply.out() << "ERR line exceeds " << options_.maxLineBytes
+                << " byte bound\n";
 }
 
 void
-SocketServer::dispatchLine(Connection &conn, const std::string &line)
+SocketServer::dispatchLine(Connection &conn, std::string_view line)
 {
     obs::Span span("net.dispatch", "net");
     ++stats_.lines;
     metrics_->lines.add();
-    std::ostringstream reply;
-    const auto status = conn.session->executeLine(line, reply);
+    svc::CommandSession::LineStatus status;
+    {
+        ReplyWriter reply(reply_, conn.outbuf);
+        status = conn.session->executeLine(line, reply.out());
+    }
     barrierPending_ = true;
-    conn.outbuf += reply.str();
     if (status == svc::CommandSession::LineStatus::Shutdown) {
         stats_.shutdown = true;
         draining_ = true;
@@ -575,9 +666,8 @@ SocketServer::processText(Connection &conn)
         } else if (newline - begin > options_.maxLineBytes) {
             rejectOverlong(conn);
         } else {
-            const std::string line =
-                conn.inbuf.substr(begin, newline - begin);
-            dispatchLine(conn, line);
+            dispatchLine(conn, std::string_view(conn.inbuf).substr(
+                                   begin, newline - begin));
         }
         begin = newline + 1;
         if (draining_)
@@ -670,8 +760,12 @@ SocketServer::dispatchFrame(Connection &conn,
         return;
     }
     svc::wire::ReplyStatus status = svc::wire::ReplyStatus::Ok;
-    std::ostringstream reply;
-    const auto line = conn.session->executeCommand(command, reply);
+    frameText_.clear();
+    svc::CommandSession::LineStatus line;
+    {
+        ReplyWriter reply(reply_, frameText_);
+        line = conn.session->executeCommand(command, reply.out());
+    }
     barrierPending_ = true;
     if (line == svc::CommandSession::LineStatus::Shutdown) {
         status = svc::wire::ReplyStatus::Shutdown;
@@ -681,7 +775,7 @@ SocketServer::dispatchFrame(Connection &conn,
         status = svc::wire::ReplyStatus::Err;
     }
     conn.outbuf +=
-        frameRecord(svc::wire::encodeReply(status, reply.str()));
+        frameRecord(svc::wire::encodeReply(status, frameText_));
 }
 
 void
@@ -708,12 +802,15 @@ SocketServer::handleSync(Connection &conn,
         command.syncStreamId == hub->streamId() &&
         hub->fetchAfter(command.syncSeq, 0, probe);
 
-    std::ostringstream reply;
-    reply << "OK sync stream=" << hub->streamId()
-          << " from=" << (tailResume ? command.syncSeq : 0)
-          << " snapshot=" << (tailResume ? 0 : 1) << "\n";
+    frameText_.clear();
+    {
+        ReplyWriter reply(reply_, frameText_);
+        reply.out() << "OK sync stream=" << hub->streamId()
+                    << " from=" << (tailResume ? command.syncSeq : 0)
+                    << " snapshot=" << (tailResume ? 0 : 1) << "\n";
+    }
     conn.outbuf += frameRecord(svc::wire::encodeReply(
-        svc::wire::ReplyStatus::Ok, reply.str()));
+        svc::wire::ReplyStatus::Ok, frameText_));
 
     conn.replica = true;
     conn.lastHeartbeatMs = nowMs();
@@ -934,6 +1031,11 @@ SocketServer::sweepTimeouts()
     for (auto &conn : connections_) {
         if (conn->dead)
             continue;
+        // A caught-up replica's heartbeat falls due even when no
+        // socket stirs; the timeout pass that follows pumps it.
+        if (conn->replica && options_.heartbeatIntervalMs > 0)
+            consider(conn->lastHeartbeatMs +
+                     options_.heartbeatIntervalMs);
         if (conn->pending() > 0 && options_.writeTimeoutMs > 0) {
             const std::int64_t deadline =
                 conn->lastProgressMs + options_.writeTimeoutMs;
@@ -1012,6 +1114,7 @@ SocketServer::run()
 {
     REF_REQUIRE(tcpListenFd_ >= 0 || unixListenFd_ >= 0,
                 "run() before start()");
+    tlsRunningLoop = wake_.get();
     while (!draining_) {
         if (stopFlagSet()) {
             stats_.shutdown = true;
@@ -1037,8 +1140,7 @@ SocketServer::run()
             fds.push_back({tcpListenFd_, POLLIN, 0});
         if (unixListenFd_ >= 0)
             fds.push_back({unixListenFd_, POLLIN, 0});
-        if (wakeFds_[0] >= 0)
-            fds.push_back({wakeFds_[0], POLLIN, 0});
+        fds.push_back({wake_->fds[0], POLLIN, 0});
         const std::size_t firstConn = fds.size();
         for (auto &conn : connections_) {
             if (conn->dead)
@@ -1058,19 +1160,14 @@ SocketServer::run()
                 continue;  // Signal: loop re-checks the stop flag.
             REF_FATAL("poll: " << std::strerror(errno));
         }
-        if (ready == 0)
-            continue;  // Timeout pass: sweepTimeouts sees it next.
 
         for (std::size_t i = 0; i < firstConn; ++i) {
             if (!(fds[i].revents & POLLIN))
                 continue;
-            if (fds[i].fd == wakeFds_[0]) {
-                // Drain the self-pipe; the loop condition re-checks
-                // the stop flag at the top.
-                char drain[64];
-                while (::read(wakeFds_[0], drain,
-                              sizeof(drain)) > 0)
-                    ;
+            if (fds[i].fd == wake_->fds[0]) {
+                // The loop condition re-checks the stop flag at the
+                // top; pumpReplicas below ships any woken records.
+                wake_->drain();
             } else {
                 acceptPending(fds[i].fd);
             }
@@ -1111,6 +1208,8 @@ SocketServer::run()
             pumpReplicas();
     }
     drainAndClose();
+    tlsRunningLoop = nullptr;
+    stats_.wakeWrites = wake_->writes.load();
     return stats_;
 }
 

@@ -70,6 +70,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -156,6 +157,10 @@ struct ServerStats
     std::uint64_t badFrames = 0;     //!< Oversized/corrupt/torn frames.
     std::uint64_t binaryConnections = 0;  //!< Hellos negotiated.
     std::uint64_t replicas = 0;  //!< SYNC subscriptions accepted.
+    /** Self-pipe writes: stop requests plus replication wakes for
+     *  records appended off this loop (at most one per loop pass;
+     *  records this loop appends cost none). */
+    std::uint64_t wakeWrites = 0;
     /** Aggregated per-session protocol totals of every connection
      *  that finished (plus, after run(), the ones open at drain). */
     svc::SessionResult protocol;
@@ -205,6 +210,7 @@ class SocketServer
   private:
     struct Connection;
     struct Metrics;
+    struct Wake;
 
     void acceptPending(int listenFd);
     /** Read whatever is available; frame and dispatch. */
@@ -217,7 +223,7 @@ class SocketServer
     void processBinary(Connection &conn);
     /** Flush as much pending output as the socket accepts. */
     void flushWrites(Connection &conn);
-    void dispatchLine(Connection &conn, const std::string &line);
+    void dispatchLine(Connection &conn, std::string_view line);
     /** Decode + execute one binary request frame; frame the reply. */
     void dispatchFrame(Connection &conn, std::string_view payload);
     /** Turn a binary connection into a replica subscription. */
@@ -255,7 +261,15 @@ class SocketServer
 
     int tcpListenFd_ = -1;
     int unixListenFd_ = -1;
-    int wakeFds_[2] = {-1, -1};  //!< Self-pipe: requestStop wakeup.
+    /** Self-pipe and its coalescing flag; shared with the
+     *  replication hub's wake callback, which may outlive us. */
+    std::shared_ptr<Wake> wake_;
+    /** Reused by every reply this loop formats: each command
+     *  appends through it straight into its connection's outbuf
+     *  (text) or into frameText_ (binary), instead of building a
+     *  fresh ostringstream and copying its string out. */
+    std::ostringstream reply_{std::ios::ate};
+    std::string frameText_;  //!< Binary reply text, pre-framing.
     std::uint16_t tcpPort_ = 0;
     std::string boundUnixPath_;  //!< Unlinked on close.
 

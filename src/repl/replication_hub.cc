@@ -33,6 +33,7 @@ mintStreamId()
 ReplicationHub::ReplicationHub(std::size_t ringCapacity)
     : capacity_(ringCapacity == 0 ? 1 : ringCapacity),
       streamId_(mintStreamId()),
+      wakeCallbacks_(std::make_shared<const Callbacks>()),
       headSeqGauge_(obs::MetricsRegistry::global().gauge(
           "ref_repl_head_seq",
           "Newest WAL record sequence shipped by this primary")),
@@ -64,15 +65,23 @@ ReplicationHub::ReplicationHub(std::size_t ringCapacity)
 
 void
 ReplicationHub::onRecord(const std::string &payload, bool isTick,
-                         std::uint64_t epoch [[maybe_unused]],
-                         std::uint32_t stateHash)
+                         std::uint64_t epoch, std::uint32_t stateHash)
 {
-    std::vector<std::function<void()>> callbacks;
+    takeRecord(std::string(payload), isTick, epoch, stateHash);
+}
+
+void
+ReplicationHub::takeRecord(std::string &&payload, bool isTick,
+                           std::uint64_t epoch [[maybe_unused]],
+                           std::uint32_t stateHash)
+{
+    std::shared_ptr<const Callbacks> callbacks;
+    std::uint64_t head = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Entry entry;
-        entry.seq = ++head_;
-        entry.payload = payload;
+        entry.seq = head = ++head_;
+        entry.payload = std::move(payload);
         entry.shipTimestampNs = wallClockNs();
         entry.stateHash = stateHash;
         entry.isTick = isTick;
@@ -82,8 +91,8 @@ ReplicationHub::onRecord(const std::string &payload, bool isTick,
         callbacks = wakeCallbacks_;
     }
     shipped_.add();
-    headSeqGauge_.set(static_cast<double>(headSeq()));
-    for (const auto &wake : callbacks)
+    headSeqGauge_.set(static_cast<double>(head));
+    for (const auto &wake : *callbacks)
         wake();
 }
 
@@ -97,7 +106,7 @@ ReplicationHub::headSeq() const
 void
 ReplicationHub::onStateAdopted()
 {
-    std::vector<std::function<void()>> callbacks;
+    std::shared_ptr<const Callbacks> callbacks;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ring_.clear();
@@ -117,7 +126,7 @@ ReplicationHub::onStateAdopted()
     headSeqGauge_.set(0);
     // Wake the transports: their replica cursors now point past the
     // (empty) ring, so the next pump snapshot-resyncs each one.
-    for (const auto &wake : callbacks)
+    for (const auto &wake : *callbacks)
         wake();
 }
 
@@ -147,7 +156,9 @@ void
 ReplicationHub::addWakeCallback(std::function<void()> callback)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    wakeCallbacks_.push_back(std::move(callback));
+    auto next = std::make_shared<Callbacks>(*wakeCallbacks_);
+    next->push_back(std::move(callback));
+    wakeCallbacks_ = std::move(next);
 }
 
 void

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -58,6 +59,10 @@ class ReplicationHub final : public svc::ReplicationSink
     void onRecord(const std::string &payload, bool isTick,
                   std::uint64_t epoch,
                   std::uint32_t stateHash) override;
+    /** The ring keeps the payload: moved in, not copied. */
+    void takeRecord(std::string &&payload, bool isTick,
+                    std::uint64_t epoch,
+                    std::uint32_t stateHash) override;
     std::uint64_t headSeq() const override;
     /** State replaced wholesale (snapshot resync on a chained
      *  follower): drop the ring and mint a fresh stream identity so
@@ -83,9 +88,11 @@ class ReplicationHub final : public svc::ReplicationSink
 
     /**
      * Register a wake hook (self-pipe write); fired after every
-     * onRecord so a poll-blocked transport shard pumps its
-     * replica connections promptly. Hooks must be async-safe-ish:
-     * they run under no hub lock but on the mutating thread.
+     * record (onRecord or takeRecord) so a poll-blocked transport
+     * shard pumps its replica connections promptly. Hooks must be
+     * async-safe-ish: they run under no hub lock but on the
+     * mutating thread, so a hook that costs a syscall should
+     * coalesce its own wakes.
      */
     void addWakeCallback(std::function<void()> callback);
 
@@ -105,7 +112,11 @@ class ReplicationHub final : public svc::ReplicationSink
     std::uint64_t head_ = 0;  //!< Seq of the newest entry; 0 = none.
     /** Atomic: reset by onStateAdopted while transports read it. */
     std::atomic<std::uint64_t> streamId_;
-    std::vector<std::function<void()>> wakeCallbacks_;
+    using Callbacks = std::vector<std::function<void()>>;
+    /** Copy-on-write: addWakeCallback swaps in a new list, so a
+     *  record pins the current one with a reference count instead
+     *  of copying every std::function. */
+    std::shared_ptr<const Callbacks> wakeCallbacks_;
 
     obs::Gauge &headSeqGauge_;
     obs::Gauge &ackedSeqGauge_;

@@ -862,9 +862,9 @@ AllocationService::journalAppendLocked(const JournalRecord &record)
         // divergence a hard fault, never silent drift).
         const bool isTick =
             record.type == JournalRecord::Type::Tick;
-        sink_->onRecord(encodeJournalRecord(record), isTick,
-                        record.epoch,
-                        isTick ? stateHashLocked() : 0);
+        sink_->takeRecord(encodeJournalRecord(record), isTick,
+                          record.epoch,
+                          isTick ? stateHashLocked() : 0);
     }
     if (!journal_)
         return;

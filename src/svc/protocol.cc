@@ -6,8 +6,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -28,17 +28,6 @@ formatShare(double value)
     return std::string(buffer, end);
 }
 
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
 /**
  * Parse one numeric token. Unparseable text (including trailing
  * junk) and values that are not finite doubles — literal "inf"/"nan"
@@ -47,11 +36,11 @@ tokenize(const std::string &line)
  * so that zero/negative produce the registry's uniform diagnostics.
  */
 double
-parseNumber(const std::string &token)
+parseNumber(std::string_view token)
 {
     try {
         std::size_t consumed = 0;
-        const double value = std::stod(token, &consumed);
+        const double value = std::stod(std::string(token), &consumed);
         REF_REQUIRE(consumed == token.size(),
                     "'" << token << "' is not a number");
         REF_REQUIRE(std::isfinite(value),
@@ -67,7 +56,7 @@ parseNumber(const std::string &token)
 }
 
 linalg::Vector
-parseElasticities(const std::vector<std::string> &tokens,
+parseElasticities(const std::vector<std::string_view> &tokens,
                   std::size_t first)
 {
     linalg::Vector elasticities;
@@ -208,10 +197,10 @@ isMutating(const Command &command)
  * executeCommand so text and binary transports reject identically.
  */
 Command
-parseCommand(const std::vector<std::string> &tokens)
+parseCommand(const std::vector<std::string_view> &tokens)
 {
     Command parsed;
-    const std::string &command = tokens.front();
+    const std::string_view command = tokens.front();
     if (command == "ADMIT") {
         REF_REQUIRE(tokens.size() >= 3,
                     "usage: ADMIT <name> <e0> <e1> ...");
@@ -268,7 +257,7 @@ parseCommand(const std::vector<std::string> &tokens)
         REF_REQUIRE(tokens.size() >= 2,
                     "usage: POOL CREATE|ASSIGN|QUERY ...");
         parsed.op = Command::Op::Pool;
-        const std::string &sub = tokens[1];
+        const std::string_view sub = tokens[1];
         if (sub == "CREATE") {
             REF_REQUIRE(tokens.size() == 3 || tokens.size() == 4,
                         "usage: POOL CREATE <path> [weight]");
@@ -325,6 +314,28 @@ parseCommand(const std::vector<std::string> &tokens)
 }
 
 } // namespace
+
+std::vector<std::string_view>
+tokenizeLine(std::string_view line)
+{
+    // The six bytes the classic "C" locale classifies as space —
+    // exactly what `istream >> std::string` splits on.
+    const auto isSpace = [](char c) {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    };
+    std::vector<std::string_view> tokens;
+    std::size_t at = 0;
+    while (at < line.size()) {
+        while (at < line.size() && isSpace(line[at]))
+            ++at;
+        const std::size_t begin = at;
+        while (at < line.size() && !isSpace(line[at]))
+            ++at;
+        if (at > begin)
+            tokens.push_back(line.substr(begin, at - begin));
+    }
+    return tokens;
+}
 
 CommandSession::CommandSession(AllocationService &service,
                                const SessionOptions &options)
@@ -404,13 +415,11 @@ CommandSession::finish()
 }
 
 CommandSession::LineStatus
-CommandSession::executeLine(const std::string &rawLine,
-                            std::ostream &out)
+CommandSession::executeLine(std::string_view line, std::ostream &out)
 {
-    std::string line = rawLine;
     if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    const auto tokens = tokenize(line);
+        line.remove_suffix(1);
+    const auto tokens = tokenizeLine(line);
     if (tokens.empty() || tokens.front().front() == '#')
         return LineStatus::Idle;
     if (options_.echo)

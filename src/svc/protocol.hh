@@ -62,6 +62,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "svc/allocation_service.hh"
 
@@ -83,6 +85,16 @@ class FollowerControl
      *  detail line. False when promotion is impossible. */
     virtual bool promote(std::string &message) = 0;
 };
+
+/**
+ * Split one protocol line into its whitespace-separated tokens, as
+ * views into @p line. The separators are the six bytes the classic
+ * "C" locale calls space (' ', \t, \n, \v, \f, \r) — the exact
+ * split `istream >> std::string` makes, without building a stream
+ * per line. Every other byte, NUL and bytes >= 0x80 included, is
+ * token text.
+ */
+std::vector<std::string_view> tokenizeLine(std::string_view line);
 
 /** Largest count one TICK command may request. */
 inline constexpr std::uint64_t kMaxTickCount = 100000;
@@ -244,8 +256,7 @@ class CommandSession
      * the line to @p out. Invalid input never throws — it produces
      * one ERR reply and LineStatus::Rejected.
      */
-    LineStatus executeLine(const std::string &line,
-                           std::ostream &out);
+    LineStatus executeLine(std::string_view line, std::ostream &out);
 
     /**
      * Execute one already-parsed command (the binary transport's

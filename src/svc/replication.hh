@@ -43,6 +43,20 @@ class ReplicationSink
                           std::uint64_t epoch,
                           std::uint32_t stateHash) = 0;
 
+    /**
+     * The same record, handed over: the service encodes a fresh
+     * payload per record and never reads it again, so it calls this
+     * entry point, and a sink that keeps the bytes (the hub's ring)
+     * overrides it to move them in instead of copying. The default
+     * forwards to onRecord. A name of its own, not an onRecord
+     * overload, so a sink overriding only onRecord hides nothing.
+     */
+    virtual void takeRecord(std::string &&payload, bool isTick,
+                            std::uint64_t epoch, std::uint32_t stateHash)
+    {
+        onRecord(payload, isTick, epoch, stateHash);
+    }
+
     /** Sequence number of the last record handed to onRecord. */
     virtual std::uint64_t headSeq() const = 0;
 

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/sharded_server.hh"
 #include "net/socket_server.hh"
 #include "svc/allocation_service.hh"
 #include "svc/wire.hh"
@@ -72,6 +73,45 @@ class ServerHarness
     std::unique_ptr<net::SocketServer> server_;
     std::thread thread_;
     net::ServerStats stats_;
+};
+
+/** ServerHarness analogue for ShardedServer: N SO_REUSEPORT event
+ *  loops over one service. stop() returns the per-shard stats. */
+class ShardedHarness
+{
+  public:
+    explicit ShardedHarness(std::size_t shards,
+                            net::ServerOptions options = {},
+                            svc::ServiceConfig config = {})
+        : service_(config)
+    {
+        if (options.listenAddress.empty())
+            options.listenAddress = "127.0.0.1:0";
+        server_ = std::make_unique<net::ShardedServer>(
+            service_, options, shards);
+        server_->start();
+        thread_ = std::thread([this] { stats_ = server_->run(); });
+    }
+
+    ~ShardedHarness() { stop(); }
+
+    std::uint16_t port() const { return server_->tcpPort(); }
+    svc::AllocationService &service() { return service_; }
+
+    const net::ShardedStats &stop()
+    {
+        if (thread_.joinable()) {
+            server_->requestStop();
+            thread_.join();
+        }
+        return stats_;
+    }
+
+  private:
+    svc::AllocationService service_;
+    std::unique_ptr<net::ShardedServer> server_;
+    std::thread thread_;
+    net::ShardedStats stats_;
 };
 
 /** Blocking-with-deadline client over one TCP connection. */

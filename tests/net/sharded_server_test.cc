@@ -24,42 +24,6 @@ namespace {
 
 namespace wire = svc::wire;
 
-/** ServerHarness analogue for ShardedServer. */
-class ShardedHarness
-{
-  public:
-    explicit ShardedHarness(std::size_t shards,
-                            net::ServerOptions options = {})
-        : service_(svc::ServiceConfig{})
-    {
-        if (options.listenAddress.empty())
-            options.listenAddress = "127.0.0.1:0";
-        server_ = std::make_unique<net::ShardedServer>(
-            service_, options, shards);
-        server_->start();
-        thread_ = std::thread([this] { stats_ = server_->run(); });
-    }
-
-    ~ShardedHarness() { stop(); }
-
-    std::uint16_t port() const { return server_->tcpPort(); }
-
-    const net::ShardedStats &stop()
-    {
-        if (thread_.joinable()) {
-            server_->requestStop();
-            thread_.join();
-        }
-        return stats_;
-    }
-
-  private:
-    svc::AllocationService service_;
-    std::unique_ptr<net::ShardedServer> server_;
-    std::thread thread_;
-    net::ShardedStats stats_;
-};
-
 TEST(ShardedServer, SingleShardDegeneratesToClassicServer)
 {
     ShardedHarness harness(1);

@@ -26,37 +26,7 @@ namespace {
 
 using namespace ref;
 
-/** ServerHarness analogue for ShardedServer with a ServiceConfig. */
-class ShardedHarness
-{
-  public:
-    ShardedHarness(svc::ServiceConfig config, std::size_t shards)
-        : service_(config)
-    {
-        net::ServerOptions options;
-        options.listenAddress = "127.0.0.1:0";
-        server_ = std::make_unique<net::ShardedServer>(
-            service_, options, shards);
-        server_->start();
-        thread_ = std::thread([this] { server_->run(); });
-    }
-
-    ~ShardedHarness()
-    {
-        if (thread_.joinable()) {
-            server_->requestStop();
-            thread_.join();
-        }
-    }
-
-    std::uint16_t port() const { return server_->tcpPort(); }
-    svc::AllocationService &service() { return service_; }
-
-  private:
-    svc::AllocationService service_;
-    std::unique_ptr<net::ShardedServer> server_;
-    std::thread thread_;
-};
+using test::ShardedHarness;
 
 constexpr std::size_t kAgents = 12;
 constexpr std::size_t kRounds = 12;
@@ -225,7 +195,7 @@ TEST(UpdateStorm, ShardedStormConvergesToOrderIndependentShares)
     const auto runOnce = [](std::size_t shards) {
         svc::ServiceConfig config;
         config.epoch.verifyIncremental = true;
-        ShardedHarness harness(config, shards);
+        ShardedHarness harness(shards, {}, config);
 
         test::TestClient control(harness.port());
         std::string admits;

@@ -10,11 +10,13 @@
  * so these tests assert hash equality, not "roughly similar state".
  */
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -271,6 +273,29 @@ TEST(FollowerRepl, AutoPromoteFiresOnPrimarySilence)
     }
 }
 
+TEST(FollowerRepl, IdlePrimaryKeepsItsFollowerFollowing)
+{
+    // A healthy primary with no traffic still heartbeats (every
+    // 50 ms here), so a follower with a 300 ms promote timeout must
+    // not mistake quiet for death.
+    Primary primary;
+    svc::AllocationService standby;
+    FollowerClient::Options options;
+    options.address = primary.address();
+    options.promoteTimeoutMs = 300;
+    FollowerClient follower(standby, options);
+    follower.start();
+    ASSERT_TRUE(waitFor([&] {
+        return follower.stats().snapshotsLoaded >= 1;
+    })) << "follower never synced";
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    EXPECT_TRUE(follower.following())
+        << "an idle primary's follower promoted itself";
+    EXPECT_EQ(follower.stats().reconnects, 0u);
+    follower.stop();
+}
+
 TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
 {
     // primary -> middle (follower that also runs a hub and server)
@@ -328,6 +353,143 @@ TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
     leafFollower.stop();
     middleFollower.stop();
     middle.service().setReplicationSink(nullptr);
+}
+
+TEST(FollowerRepl, RecordsFromEveryShardReachTheFollowerPromptly)
+{
+    // Two shards share one hub; the follower subscribes on one of
+    // them. A record accepted on the other shard is appended off the
+    // follower's loop, so only the hub's wake gets it shipped before
+    // that loop's one-second poll timeout: heartbeats are off, so
+    // nothing else would wake it.
+    ReplicationHub hub;
+    net::ServerOptions options;
+    options.replicationHub = &hub;
+    options.heartbeatIntervalMs = 0;
+    test::ShardedHarness primary(2, options);
+    primary.service().setReplicationSink(&hub);
+
+    svc::AllocationService standby;
+    FollowerClient::Options followOptions;
+    followOptions.address =
+        "127.0.0.1:" + std::to_string(primary.port());
+    FollowerClient follower(standby, followOptions);
+    follower.start();
+    ASSERT_TRUE(waitFor([&] {
+        return follower.stats().snapshotsLoaded >= 1;
+    })) << "follower never synced";
+
+    // SO_REUSEPORT spreads these connections over both shards.
+    constexpr int kClients = 16;
+    std::chrono::steady_clock::duration slowest{};
+    for (int i = 0; i < kClients; ++i) {
+        TestClient client(primary.port());
+        client.sendAll("ADMIT c" + std::to_string(i) + " 0.5 0.5\n");
+        ASSERT_EQ(client.readLines(1).rfind("OK admitted", 0), 0u);
+        const auto sent = std::chrono::steady_clock::now();
+        ASSERT_TRUE(waitFor([&] {
+            return follower.stats().lastAppliedSeq >= hub.headSeq();
+        })) << "record " << i << " never reached the follower";
+        slowest = std::max(slowest,
+                           std::chrono::steady_clock::now() - sent);
+    }
+    EXPECT_LT(slowest, std::chrono::milliseconds(400));
+    EXPECT_EQ(standby.stateHash(), primary.service().stateHash());
+
+    follower.stop();
+    const net::ShardedStats &stats = primary.stop();
+    primary.service().setReplicationSink(nullptr);
+
+    // The timing check bites only if the other shard took clients.
+    ASSERT_EQ(stats.shards.size(), 2u);
+    const bool onShard0 = stats.shards[0].replicas == 1;
+    const net::ServerStats &followed = stats.shards[onShard0 ? 0 : 1];
+    const net::ServerStats &other = stats.shards[onShard0 ? 1 : 0];
+    EXPECT_EQ(followed.replicas, 1u);
+    EXPECT_GT(other.lines, 0u);
+    EXPECT_GE(followed.wakeWrites, 1u);
+}
+
+TEST(FollowerRepl, OffLoopAppendStormNeverStrandsAWake)
+{
+    // Writers on their own threads append records while the loop
+    // drains its self-pipe, so wakes land on every side of the
+    // drain. Heartbeats are off and the poll timeout is one second:
+    // if one wake were lost with the flag left set, no later wake
+    // would write again, and the loop would sleep out the second.
+    // Each round times the storm's catch-up and then one record
+    // appended to an idle loop, which only the self-pipe can
+    // deliver; the stop must be prompt too.
+    ReplicationHub hub;
+    net::ServerOptions options;
+    options.replicationHub = &hub;
+    options.heartbeatIntervalMs = 0;
+    ServerHarness primary(svc::ServiceConfig{}, options);
+    primary.service().setReplicationSink(&hub);
+
+    svc::AllocationService standby;
+    FollowerClient::Options followOptions;
+    followOptions.address =
+        "127.0.0.1:" + std::to_string(primary.port());
+    FollowerClient follower(standby, followOptions);
+    follower.start();
+    ASSERT_TRUE(waitFor([&] {
+        return follower.stats().snapshotsLoaded >= 1;
+    })) << "follower never synced";
+
+    constexpr int kRounds = 40;
+    constexpr int kWriters = 4;
+    constexpr int kPairsPerWriter = 50;
+    std::chrono::steady_clock::duration slowest{};
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::thread> writers;
+        for (int w = 0; w < kWriters; ++w) {
+            writers.emplace_back([&, w] {
+                const std::string name = "w" + std::to_string(w);
+                for (int i = 0; i < kPairsPerWriter; ++i) {
+                    primary.service().admit(name, {0.5, 0.5});
+                    primary.service().depart(name);
+                }
+            });
+        }
+        for (auto &writer : writers)
+            writer.join();
+        auto appended = std::chrono::steady_clock::now();
+        ASSERT_TRUE(waitFor([&] {
+            return follower.stats().lastAppliedSeq >= hub.headSeq();
+        })) << "round " << round << " never reached the follower";
+        slowest = std::max(slowest,
+                           std::chrono::steady_clock::now() - appended);
+
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        primary.service().admit("last", {0.5, 0.5});
+        appended = std::chrono::steady_clock::now();
+        const std::uint64_t head = hub.headSeq();
+        ASSERT_TRUE(waitFor([&] {
+            return follower.stats().lastAppliedSeq >= head;
+        })) << "round " << round << "'s last record never arrived";
+        slowest = std::max(slowest,
+                           std::chrono::steady_clock::now() - appended);
+        primary.service().depart("last");
+    }
+    EXPECT_LT(slowest, std::chrono::milliseconds(400));
+    EXPECT_EQ(hub.headSeq(),
+              static_cast<std::uint64_t>(kRounds *
+                                         (kWriters * kPairsPerWriter + 1) *
+                                         2));
+    ASSERT_TRUE(waitFor([&] {
+        return follower.stats().lastAppliedSeq >= hub.headSeq();
+    }));
+    EXPECT_EQ(standby.stateHash(), primary.service().stateHash());
+
+    follower.stop();
+    const auto stopAsked = std::chrono::steady_clock::now();
+    const net::ServerStats &stats = primary.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - stopAsked,
+              std::chrono::milliseconds(400))
+        << "the stop request's wake was lost";
+    primary.service().setReplicationSink(nullptr);
+    EXPECT_GE(stats.wakeWrites, 1u);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.hh"
+
 namespace {
 
 using namespace ref;
@@ -548,6 +550,72 @@ TEST(Protocol, DepartDropsCohortMembership)
     // removes the membership along with the agent.
     EXPECT_NE(output.find("gold,1,1,"), std::string::npos);
     EXPECT_EQ(output.find("gold,2,"), std::string::npos);
+}
+
+/** The split the protocol made before tokenizeLine: stream
+ *  extraction in the classic locale. Kept only as the oracle. */
+std::vector<std::string>
+streamTokens(const std::string &line)
+{
+    std::vector<std::string> tokens;
+    std::istringstream stream(line);
+    std::string token;
+    while (stream >> token)
+        tokens.push_back(token);
+    return tokens;
+}
+
+TEST(Protocol, TokenizeLineMatchesStreamExtraction)
+{
+    // Every byte class the splitter must get right: the six
+    // separators, NUL, high bytes (0x85 and 0xA0 are space in some
+    // encodings, never in the C locale), '#', and token text.
+    static const std::string kAlphabet(
+        " \t\n\v\f\r\0\x80\x85\xA0\xFF#aZ0.-e", 18);
+    ref::Rng rng(20261020);
+    for (int trial = 0; trial < 20000; ++trial) {
+        std::string line;
+        const auto length = rng.uniformInt(41);
+        for (std::uint64_t i = 0; i < length; ++i) {
+            // Half the draws are separators, so runs of them (and
+            // leading/trailing blanks) are common.
+            const std::size_t pick =
+                rng.bernoulli(0.5) ? rng.uniformInt(6)
+                                   : rng.uniformInt(kAlphabet.size());
+            line += kAlphabet[pick];
+        }
+        if (trial % 7 == 0)
+            line.insert(0, "#");
+        if (trial % 5 == 0)
+            line += '\r';
+        if (trial % 97 == 0)
+            line.clear();
+        std::vector<std::string> split;
+        for (const std::string_view token : svc::tokenizeLine(line))
+            split.emplace_back(token);
+        ASSERT_EQ(split, streamTokens(line))
+            << "trial " << trial << ", line of " << line.size()
+            << " bytes";
+    }
+}
+
+TEST(Protocol, SeparatorsAndHighBytesParseLikeSpaces)
+{
+    AllocationService service;
+    std::string output;
+    // Vertical tab and form feed separate tokens; NUL and high
+    // bytes are name text, so the two names below differ.
+    const auto result = run(service,
+                            "\vADMIT\fa\t0.6 \t 0.4\r\n"
+                            "ADMIT a\xA0 0.2 0.8\n"
+                            "ADMIT a 0.1 0.1\n",
+                            output);
+    EXPECT_EQ(result.errors, 1u);
+    EXPECT_NE(output.find("OK admitted a agents=1"), std::string::npos);
+    EXPECT_NE(output.find("OK admitted a\xA0 agents=2"),
+              std::string::npos);
+    EXPECT_NE(output.find("agent 'a' is already registered"),
+              std::string::npos);
 }
 
 } // namespace
